@@ -921,9 +921,14 @@ let run_trajectory () =
     in
     (* Sharded replays of the 100k row: the same world partitioned under
        Engine.Shard's conservative runner, with speedup_pct against the
-       sequential row just measured. On a single-core host the domains
-       time-slice, so speedup_pct reads as parallel overhead (< 100);
-       genuine speedup needs cores >= shards. Their peak_rss_kb extras
+       sequential row just measured. speedup_pct is not parallel speedup
+       alone: each region's discovery captures and controller restricts
+       scan region-local state instead of the full overlay, and that
+       saving mixes with parallelism (or with time-slicing when the host
+       has fewer cores than shards). Single runs have read anywhere from
+       about 90 to 340 on the same code, so one row says little. It
+       compares run phases only: shard set-up, dearer than sequential
+       set-up, sits in the setup_seconds extra. Their peak_rss_kb extras
        are process high-water marks already raised by the runs above —
        only the 10k row's RSS means anything as a gate. *)
     let shard_rows =

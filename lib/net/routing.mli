@@ -13,7 +13,7 @@
     for sources and control-plane endpoints, which is what lets 10k–1M
     receiver topologies route at all. Answers are bit-identical to an
     eagerly computed table: a column materialized late is computed
-    against the live disabled-link set, and both leave the unique
+    against the live down flags, and both leave the unique
     canonical table for that topology (see DESIGN.md, "Scaling state").
 
     Links can be administratively disabled (the fault-injection layer's
@@ -26,7 +26,16 @@
     fresh computation would produce, preserved tie-breaks included (see
     DESIGN.md, "Incremental maintenance"). With links down the graph may
     be partitioned, in which case the affected entries report the
-    destination as unreachable. *)
+    destination as unreachable.
+
+    Every table is produced by one allocation-free Dijkstra kernel. The
+    adjacency is laid out once, in {!compute}, as CSR arrays in
+    ascending neighbor order; a disabled link is one flag byte; each [t]
+    owns a scratch binary heap of int arrays, reused across calls and
+    never shared, so independent instances are safe on separate
+    domains. A link-down recompute refills the destination's existing
+    columns in place, so only a first materialization allocates (its two
+    columns). *)
 
 type t
 
@@ -48,10 +57,13 @@ val materialized_columns : t -> int
     scale scenarios assert it stays O(control-plane endpoints). *)
 
 val heap_pushes : t -> int
-(** Total priority-queue pushes performed by full-column Dijkstras since
-    creation (materializations and link-down recomputes). Exposed for
-    the regression test pinning that equality-only tie-break rewrites do
-    not re-push. *)
+(** Total scratch-heap pushes performed by full-column Dijkstras since
+    creation (materializations and link-down in-place refills); link-up
+    splices are not counted. A push happens only when a node's distance
+    strictly falls, and the heap pops in [(dist, id)] order, so the
+    count is a function of the topology and the call sequence alone.
+    Tests pin it exactly, including that equality-only tie-break
+    rewrites do not re-push. *)
 
 val next_hop : t -> from:Addr.node_id -> dst:Addr.node_id -> Addr.node_id
 (** The neighbor to forward to, or [-1] when [dst] is currently

@@ -3,7 +3,9 @@
    included), and the bounded repair path must keep every multicast tree
    equal to the reverse-path union a full rescan would produce — across
    random up/down/join/leave interleavings, on both event-queue
-   backends, and at 500+ node scale. *)
+   backends, and at 500+ node scale. Routing tables are checked against
+   a test-only reference Dijkstra that shares no code with
+   [Routing], since [Routing.compute] runs the kernel under test. *)
 
 module Time = Engine.Time
 module Sim = Engine.Sim
@@ -63,67 +65,174 @@ let expected_edges routing ~src ~members =
   List.iter walk members;
   List.sort compare (Hashtbl.fold (fun k () acc -> k :: acc) set [])
 
+(* ---------- independent reference ---------- *)
+
+(* Independent oracle: a plain list-and-tuple Dijkstra over the links
+   not in [down] (endpoint pairs, either orientation), where an
+   equality-only next-hop rewrite re-pushes the node, re-relaxing its
+   adjacency for nothing. It leaves the canonical table
+   (shortest distance, lowest-id next hop) by a different route than the
+   routing kernel, so equal tables are evidence, not tautology. *)
+let reference_dijkstra ?(down = []) topo dst =
+  let n = Topology.node_count topo in
+  let adj = Array.make n [] in
+  List.iter
+    (fun (l : Topology.link_spec) ->
+      if not (List.mem (l.a, l.b) down || List.mem (l.b, l.a) down) then begin
+        adj.(l.a) <- (l.b, l.delay) :: adj.(l.a);
+        adj.(l.b) <- (l.a, l.delay) :: adj.(l.b)
+      end)
+    (Topology.links topo);
+  Array.iteri (fun i ns -> adj.(i) <- List.sort compare ns) adj;
+  let dist = Array.make n max_int in
+  let next = Array.make n (-1) in
+  let pushes = ref 0 in
+  let heap =
+    Engine.Heap.create ~cmp:(fun (da, na) (db, nb) ->
+        let c = Int.compare da db in
+        if c <> 0 then c else Int.compare na nb)
+  in
+  let push e =
+    incr pushes;
+    Engine.Heap.push heap e
+  in
+  dist.(dst) <- 0;
+  push (0, dst);
+  let rec loop () =
+    match Engine.Heap.pop heap with
+    | None -> ()
+    | Some (d, u) ->
+        if d = dist.(u) then
+          List.iter
+            (fun (m, w) ->
+              let nd = d + w in
+              if nd < dist.(m) || (nd = dist.(m) && next.(m) > u && m <> dst)
+              then begin
+                dist.(m) <- nd;
+                next.(m) <- u;
+                push (nd, m)
+              end)
+            adj.(u);
+        loop ()
+  in
+  loop ();
+  (next, dist, !pushes)
+
+(* Chain of diamonds engineered so the equality rewrite fires on every
+   diamond for every upstream destination: entry e, detour b = e+1,
+   direct a = e+2, exit x = e+3; the a-side (10+10) and b-side (15+5)
+   tie at 20 ms, a's side wins the distance race, then b — the lower id
+   — rewrites the next hop. *)
+let diamond_chain count =
+  let topo = Topology.create () in
+  ignore (Topology.add_nodes topo ((4 * count) + 1));
+  let link a b ms =
+    Topology.add_duplex topo ~a ~b ~bandwidth_bps:1e7
+      ~delay:(Time.span_of_ms ms) ()
+  in
+  for i = 0 to count - 1 do
+    let e = 4 * i in
+    let b = e + 1 and a = e + 2 and x = e + 3 in
+    link e a 10;
+    link a x 10;
+    link e b 15;
+    link b x 5;
+    if i < count - 1 then link x (e + 4) 10
+  done;
+  link (4 * (count - 1) + 3) (4 * count) 10;
+  topo
+
+(* Every materialized column of [live] — [dsts] — equals the reference
+   on the live topology: next hop and distance for every node. *)
+let columns_match_reference live topo ~down ~dsts =
+  let n = Topology.node_count topo in
+  List.for_all
+    (fun dst ->
+      let next, dist, _ = reference_dijkstra ~down topo dst in
+      List.for_all
+        (fun from ->
+          from = dst
+          || Routing.next_hop live ~from ~dst = next.(from)
+             && Routing.distance live ~from ~dst = dist.(from))
+        (List.init n Fun.id))
+    dsts
+
 (* ---------- random topologies and op sequences ---------- *)
 
 (* Connected graph: spanning tree (parent of node i+1 drawn from
-   [0, i]) plus a few extra edges, all links at the same 20 ms delay so
-   equal-cost ties — the hard case for canonical tie-breaks — are
-   everywhere. *)
-let build_topo (n, parents, extras) =
+   [0, i]) plus a few extra edges. Link delays cycle through [delays],
+   drawn from {10, 20, 30} ms, so equal-cost ties — the hard case for
+   canonical tie-breaks — are everywhere. *)
+type graph = {
+  n : int;
+  parents : int list;
+  extras : (int * int) list;
+  delays : int list;
+}
+
+let build_topo g =
   let topo = Topology.create () in
-  ignore (Topology.add_nodes topo n);
-  let delay = Time.span_of_ms 20 in
+  ignore (Topology.add_nodes topo g.n);
+  let delays = Array.of_list g.delays in
   let linked = Hashtbl.create 32 in
   let add a b =
     let k = (min a b, max a b) in
     if a <> b && not (Hashtbl.mem linked k) then begin
+      let delay =
+        Time.span_of_ms delays.(Hashtbl.length linked mod Array.length delays)
+      in
       Hashtbl.add linked k ();
       Topology.add_duplex topo ~a ~b ~bandwidth_bps:1e7 ~delay ()
     end
   in
-  List.iteri (fun i raw -> add (i + 1) (raw mod (i + 1))) parents;
-  List.iter (fun (x, y) -> add (x mod n) (y mod n)) extras;
+  List.iteri (fun i raw -> add (i + 1) (raw mod (i + 1))) g.parents;
+  List.iter (fun (x, y) -> add (x mod g.n) (y mod g.n)) g.extras;
   topo
+
+let graph_gen ~max_n =
+  QCheck.Gen.(
+    let* n = 4 -- max_n in
+    let* parents = list_size (return (n - 1)) (int_bound 10_000) in
+    let* extras = list_size (0 -- 6) (pair (int_bound 10_000) (int_bound 10_000)) in
+    let* delays = list_size (1 -- 8) (oneofl [ 10; 20; 30 ]) in
+    return { n; parents; extras; delays })
+
+let link_pairs topo =
+  Array.of_list
+    (List.map (fun (l : Topology.link_spec) -> (l.a, l.b)) (Topology.links topo))
 
 type op = Flip of int | Join of int | Leave of int
 
 let case_gen =
   QCheck.Gen.(
-    let* n = 4 -- 14 in
-    let* parents = list_size (return (n - 1)) (int_bound 10_000) in
-    let* extras = list_size (0 -- 6) (pair (int_bound 10_000) (int_bound 10_000)) in
+    let* g = graph_gen ~max_n:14 in
     let* ops =
       list_size (6 -- 16)
         (let* k = 0 -- 2 in
          let* v = int_bound 10_000 in
          return (match k with 0 -> Flip v | 1 -> Join v | _ -> Leave v))
     in
-    return ((n, parents, extras), ops))
+    return (g, ops))
 
 let arbitrary_case =
   QCheck.make
-    ~print:(fun ((n, _, _), ops) ->
-      Printf.sprintf "n=%d ops=%d" n (List.length ops))
+    ~print:(fun (g, ops) ->
+      Printf.sprintf "n=%d ops=%d" g.n (List.length ops))
     case_gen
 
 (* Apply the op sequence one step at a time, settling 5 s after each
    (graft hops, the 1 s leave latency and prune propagation all land
    well inside that), and demand exact table and tree equality with the
-   from-scratch oracles after every step. *)
-let run_case ~backend ((spec, ops) : (int * int list * (int * int) list) * op list)
-    =
-  let topo = build_topo spec in
+   from-scratch oracles after every step: every column against the
+   reference Dijkstra, the tree against the reverse-path union. *)
+let run_case ~backend ((g, ops) : graph * op list) =
+  let topo = build_topo g in
   let n = Topology.node_count topo in
   let sim = Sim.create ~seed:1L ~backend () in
   let nw = Network.create ~sim topo in
   let router = Router.create ~network:nw () in
   let group = Router.fresh_group router ~source:0 in
-  let links =
-    Array.of_list
-      (List.map
-         (fun (l : Topology.link_spec) -> (l.a, l.b))
-         (Topology.links topo))
-  in
+  let links = link_pairs topo in
   let down = Hashtbl.create 8 in
   let members = Hashtbl.create 8 in
   let t = ref 0 in
@@ -149,7 +258,10 @@ let run_case ~backend ((spec, ops) : (int * int list * (int * int) list) * op li
       Sim.run_until sim (Time.of_sec (5 * !t));
       let live = Network.routing nw in
       let downs = Hashtbl.fold (fun k () acc -> k :: acc) down [] in
-      ok := !ok && tables_equal ~n live (oracle_routing topo ~down:downs);
+      ok :=
+        !ok
+        && columns_match_reference live topo ~down:downs
+             ~dsts:(List.init n Fun.id);
       let mems = Hashtbl.fold (fun k () acc -> k :: acc) members [] in
       ok :=
         !ok
@@ -179,6 +291,75 @@ let prop_churn_matches_fresh_compute backend =
       (Printf.sprintf "churn == fresh compute (%s backend)"
          (Engine.Event_queue.backend_to_string backend))
     ~count:60 arbitrary_case (run_case ~backend)
+
+(* Routing alone, flaps interleaved with lazy materialization: after
+   every step exactly the queried columns exist, each equals the
+   reference on the live topology, and a flap reports exactly the
+   materialized columns whose contents it changed. *)
+type routing_op = Toggle of int | Query of int * int
+
+let lazy_case_gen =
+  QCheck.Gen.(
+    let* g = graph_gen ~max_n:16 in
+    let* ops =
+      list_size (10 -- 30)
+        (let* toggle = bool in
+         let* v = int_bound 10_000 in
+         let* w = int_bound 10_000 in
+         return (if toggle then Toggle v else Query (v, w)))
+    in
+    return (g, ops))
+
+let run_lazy_case ((g, ops) : graph * routing_op list) =
+  let topo = build_topo g in
+  let n = Topology.node_count topo in
+  let r = Routing.compute topo in
+  let links = link_pairs topo in
+  let down = ref [] in
+  let materialized = ref [] in
+  let column d =
+    Array.init n (fun from ->
+        ( (if from = d then -1 else Routing.next_hop r ~from ~dst:d),
+          Routing.distance r ~from ~dst:d ))
+  in
+  List.for_all
+    (fun op ->
+      let step_ok =
+        match op with
+        | Toggle v ->
+            let ((a, b) as link) = links.(v mod Array.length links) in
+            let before = List.map (fun d -> (d, column d)) !materialized in
+            let enable = List.mem link !down in
+            down :=
+              if enable then List.filter (( <> ) link) !down
+              else link :: !down;
+            let affected = Routing.set_link_enabled r ~a ~b enable in
+            let changed =
+              List.filter_map
+                (fun (d, col) -> if column d <> col then Some d else None)
+                before
+            in
+            affected = List.sort compare changed
+        | Query (v, w) ->
+            let dst = v mod n in
+            let from = (dst + 1 + (w mod (n - 1))) mod n in
+            ignore (Routing.next_hop_opt r ~from ~dst : int option);
+            if not (List.mem dst !materialized) then
+              materialized := dst :: !materialized;
+            true
+      in
+      step_ok
+      && Routing.materialized_columns r = List.length !materialized
+      && columns_match_reference r topo ~down:!down ~dsts:!materialized)
+    ops
+
+let prop_lazy_columns_match_reference =
+  QCheck.Test.make ~name:"lazy columns == reference under flaps" ~count:200
+    (QCheck.make
+       ~print:(fun (g, ops) ->
+         Printf.sprintf "n=%d ops=%d" g.n (List.length ops))
+       lazy_case_gen)
+    run_lazy_case
 
 (* ---------- deterministic large case ---------- *)
 
@@ -326,77 +507,8 @@ let test_lazy_columns () =
 
 (* ---------- dijkstra tie-break push skip (satellite) ---------- *)
 
-(* Reference implementation with the pre-PR-7 behavior: an equality-only
-   next-hop rewrite re-pushes the node, re-relaxing its adjacency for
-   nothing. The fixed dijkstra must produce identical tables with
-   strictly fewer pushes on a tie-heavy topology. *)
-let reference_dijkstra topo dst =
-  let n = Topology.node_count topo in
-  let adj = Array.make n [] in
-  List.iter
-    (fun (l : Topology.link_spec) ->
-      adj.(l.a) <- (l.b, l.delay) :: adj.(l.a);
-      adj.(l.b) <- (l.a, l.delay) :: adj.(l.b))
-    (Topology.links topo);
-  Array.iteri (fun i ns -> adj.(i) <- List.sort compare ns) adj;
-  let dist = Array.make n max_int in
-  let next = Array.make n (-1) in
-  let pushes = ref 0 in
-  let heap =
-    Engine.Heap.create ~cmp:(fun (da, na) (db, nb) ->
-        let c = Int.compare da db in
-        if c <> 0 then c else Int.compare na nb)
-  in
-  let push e =
-    incr pushes;
-    Engine.Heap.push heap e
-  in
-  dist.(dst) <- 0;
-  push (0, dst);
-  let rec loop () =
-    match Engine.Heap.pop heap with
-    | None -> ()
-    | Some (d, u) ->
-        if d = dist.(u) then
-          List.iter
-            (fun (m, w) ->
-              let nd = d + w in
-              if nd < dist.(m) || (nd = dist.(m) && next.(m) > u && m <> dst)
-              then begin
-                dist.(m) <- nd;
-                next.(m) <- u;
-                push (nd, m)
-              end)
-            adj.(u);
-        loop ()
-  in
-  loop ();
-  (next, dist, !pushes)
-
-(* Chain of diamonds engineered so the equality rewrite fires on every
-   diamond for every upstream destination: entry e, detour b = e+1,
-   direct a = e+2, exit x = e+3; the a-side (10+10) and b-side (15+5)
-   tie at 20 ms, a's side wins the distance race, then b — the lower id
-   — rewrites the next hop. *)
-let diamond_chain count =
-  let topo = Topology.create () in
-  ignore (Topology.add_nodes topo ((4 * count) + 1));
-  let link a b ms =
-    Topology.add_duplex topo ~a ~b ~bandwidth_bps:1e7
-      ~delay:(Time.span_of_ms ms) ()
-  in
-  for i = 0 to count - 1 do
-    let e = 4 * i in
-    let b = e + 1 and a = e + 2 and x = e + 3 in
-    link e a 10;
-    link a x 10;
-    link e b 15;
-    link b x 5;
-    if i < count - 1 then link x (e + 4) 10
-  done;
-  link (4 * (count - 1) + 3) (4 * count) 10;
-  topo
-
+(* On a tie-heavy topology the kernel must produce the re-pushing
+   reference's tables with strictly fewer pushes. *)
 let test_tie_push_skip () =
   let topo = diamond_chain 6 in
   let n = Topology.node_count topo in
@@ -420,7 +532,53 @@ let test_tie_push_skip () =
     (Printf.sprintf "strictly fewer heap pushes (%d vs %d)"
        (Routing.heap_pushes live) !ref_pushes)
     true
-    (Routing.heap_pushes live < !ref_pushes)
+    (Routing.heap_pushes live < !ref_pushes);
+  (* The exact push sequence is part of the kernel's contract (benchmark
+     fingerprints record it): any change to relaxation order, tie
+     handling or stale-entry skipping moves this count. *)
+  checki "heap pushes pinned" 631 (Routing.heap_pushes live)
+
+(* ---------- per-instance scratch state (domain safety) ---------- *)
+
+(* Everything observable about one routing table churned through a
+   fixed flap sequence: the affected lists, every column and the
+   counters. *)
+let churn_routing topo =
+  let n = Topology.node_count topo in
+  let r = Routing.compute topo in
+  Routing.prefetch_all r;
+  let links = link_pairs topo in
+  let affected =
+    List.init 400 (fun i ->
+        let a, b = links.(i * 7919 mod Array.length links) in
+        Routing.set_link_enabled r ~a ~b (not (Routing.link_enabled r ~a ~b)))
+  in
+  let tables =
+    List.init n (fun dst ->
+        List.init n (fun from ->
+            ( (if from = dst then None else Routing.next_hop_opt r ~from ~dst),
+              Routing.distance r ~from ~dst )))
+  in
+  ( affected,
+    tables,
+    (Routing.recomputes r, Routing.heap_pushes r, Routing.materialized_columns r)
+  )
+
+(* Two independent tables churned at once on two domains must read
+   exactly like the same churn run one after the other: each [Routing.t]
+   owns its Dijkstra scratch heap, so concurrent instances never share
+   mutable state. *)
+let test_concurrent_instances () =
+  let kary = (Builders.kary ~fanout:5 ~depth:3 ()).Builders.topology in
+  let diamonds = diamond_chain 40 in
+  let seq_a = churn_routing kary in
+  let seq_b = churn_routing diamonds in
+  let da = Domain.spawn (fun () -> churn_routing kary) in
+  let db = Domain.spawn (fun () -> churn_routing diamonds) in
+  let par_a = Domain.join da in
+  let par_b = Domain.join db in
+  checkb "k-ary churn identical on its own domain" true (seq_a = par_a);
+  checkb "diamond churn identical on its own domain" true (seq_b = par_b)
 
 (* ---------- bounded repair regressions ---------- *)
 
@@ -517,6 +675,7 @@ let () =
           [
             prop_churn_matches_fresh_compute Engine.Event_queue.Heap;
             prop_churn_matches_fresh_compute Engine.Event_queue.Calendar;
+            prop_lazy_columns_match_reference;
           ] );
       ( "storm",
         [
@@ -533,6 +692,8 @@ let () =
             test_redundant_link_flap_nearly_free;
           Alcotest.test_case "lazy columns" `Quick test_lazy_columns;
           Alcotest.test_case "tie-break push skip" `Quick test_tie_push_skip;
+          Alcotest.test_case "concurrent instances" `Quick
+            test_concurrent_instances;
         ] );
       ( "bounded-repair",
         [

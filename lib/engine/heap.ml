@@ -134,5 +134,3 @@ let capacity h = Array.length h.data
 let clear h =
   h.data <- [||];
   h.size <- 0
-
-let to_list h = Array.to_list (Array.sub h.data 0 h.size)

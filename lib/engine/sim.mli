@@ -5,12 +5,10 @@
     instant fire in scheduling order (FIFO), which makes runs fully
     deterministic for a given seed.
 
-    The pending-event store is pluggable behind {!Event_queue.S}: the
-    default binary heap ({!Heap}), or the ns-style calendar queue
-    ({!Calendar}) for workloads whose pending set grows large. Both
-    backends dispatch in exactly the same [(time, seq)] order, so a
-    run's trace — and therefore every figure and metric — is independent
-    of the backend chosen; only wall time changes.
+    Pending events live in a binary heap ({!Heap}) under the total order
+    [(time, seq)]. That order is all the paper's evaluation needs from
+    the scheduler: a run's trace — and therefore every figure and
+    metric — follows from it alone.
 
     Each simulator instance is single-threaded by design: the workloads
     in this project are bound by event dispatch, not by per-event
@@ -23,13 +21,8 @@ type t
 type handle
 (** Identifies a scheduled event so it can be cancelled. *)
 
-val create : ?seed:int64 -> ?backend:Event_queue.backend -> unit -> t
-(** A fresh simulator at time {!Time.zero}. Default seed is [42L];
-    default backend is {!Event_queue.default} (the heap, unless
-    overridden by [TOPOSENSE_SCHEDULER] or {!Event_queue.set_default}). *)
-
-val backend : t -> Event_queue.backend
-(** Which event-queue backend this simulator runs on. *)
+val create : ?seed:int64 -> unit -> t
+(** A fresh simulator at time {!Time.zero}. Default seed is [42L]. *)
 
 val now : t -> Time.t
 
@@ -86,26 +79,20 @@ val run_until : t -> Time.t -> unit
 (** Dispatch events in order until the queue is empty or the next event is
     after the horizon; the clock ends at the horizon.
 
-    Events sharing a timestamp form a {e run}, and by default the loop
-    drains a whole run batched: one clock write and one horizon check
-    for the run, with the remaining events popped on a backend fast path
-    (the calendar's equal-key bucket head in O(1); a heap peek-ahead).
-    Batched and unbatched dispatch are observably identical — same
-    [(time, seq)] order, same clock values seen by thunks, same
-    counters; see {!set_batch_runs}. *)
+    Events sharing a timestamp form a {e run}, and the loop drains a
+    whole run batched: one clock write and one horizon check for the
+    run, with the remaining events popped on a heap peek-ahead. This is
+    observably identical to calling {!step} until it returns [false] —
+    same [(time, seq)] order, same clock values seen by thunks, same
+    counters — and then [run_until] to advance the clock. *)
 
-val set_batch_runs : t -> bool -> unit
-(** Toggle batched run dispatch in {!run_until} (default [true]).
-    [false] selects the one-event-at-a-time reference loop; the
-    equivalence property in the test suite runs both and asserts
-    identical traces, which is the only intended use. *)
-
-val batch_runs : t -> bool
-(** Whether {!run_until} currently batches equal-timestamp runs. *)
-
-val step : t -> bool
-(** Dispatch the single next event. Returns [false] when the queue is
-    empty. *)
+val step : t -> until:Time.t -> bool
+(** Dispatch the single next event if it is at or before [until].
+    Returns [false], dispatching nothing, when the queue is empty or the
+    next event is later. Unlike {!run_until} it never moves the clock
+    past the event it dispatches. The test suite builds from it the
+    one-event-at-a-time reference loop that {!run_until} is checked
+    against. *)
 
 val pending : t -> int
 (** Number of events still queued, {e including} cancelled tombstones
@@ -129,10 +116,5 @@ val events_dispatched : t -> int
 (** Total events fired since creation; for tests and reporting. *)
 
 val queue_resizes : t -> int
-(** Calendar-backend bucket-array resizes so far; [0] on the heap. The
-    bench's engine rows record it so the resize-allocation trim stays
-    pinned. *)
-
-val queue_recycled : t -> int
-(** Calendar-backend resizes served from a parked bucket generation;
-    [0] on the heap. *)
+(** Always [0]: the heap has no bucket array to resize. Kept only for
+    the benchmark's [engine.queue_resizes] column. *)

@@ -115,7 +115,6 @@ val run :
   ?storm_s:float ->
   ?quiet_s:float ->
   ?seed:int64 ->
-  ?backend:Engine.Event_queue.backend ->
   unit ->
   outcome
 (** Builds the world, arms the schedule (times clamped into

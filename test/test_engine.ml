@@ -4,8 +4,6 @@
 module Time = Engine.Time
 module Sim = Engine.Sim
 module Heap = Engine.Heap
-module Calendar = Engine.Calendar
-module Event_queue = Engine.Event_queue
 module Prng = Engine.Prng
 module Stats = Engine.Stats
 module Trace = Engine.Trace
@@ -147,177 +145,22 @@ let prop_heap_interleaved =
             | _ -> false)
         ops)
 
-(* ---------- Calendar ---------- *)
+(* ---------- batched dispatch vs the reference loop ---------- *)
 
-(* Elements are (key, seq) pairs ordered like Sim's events: by key, then
-   by arrival sequence. *)
-let cal_cmp (k1, s1) (k2, s2) =
-  let c = Int.compare k1 k2 in
-  if c <> 0 then c else Int.compare s1 s2
-
-let cal_create () =
-  Calendar.create ~cmp:cal_cmp ~key:fst ~dummy:(0, -1)
-
-let cal_drain q =
-  let rec go acc =
-    match Calendar.pop_min q with None -> List.rev acc | Some x -> go (x :: acc)
-  in
-  go []
-
-let test_calendar_sorted_drain () =
-  let q = cal_create () in
-  let keys = [ 512; 3; 77; 3; 9_000_000; 0; 77; 41; 5 ] in
-  List.iteri (fun s k -> Calendar.push q (k, s)) keys;
-  checki "length" (List.length keys) (Calendar.length q);
-  let expect = List.sort cal_cmp (List.mapi (fun s k -> (k, s)) keys) in
-  checkb "sorted with FIFO ties" true (cal_drain q = expect);
-  checkb "empty after drain" true (Calendar.is_empty q)
-
-let test_calendar_empty () =
-  let q = cal_create () in
-  checkb "empty" true (Calendar.is_empty q);
-  checkb "pop none" true (Calendar.pop_min q = None);
-  checkb "peek none" true (Calendar.peek_min q = None);
-  Alcotest.check_raises "peek_min_exn empty"
-    (Invalid_argument "Calendar.peek_min_exn: empty") (fun () ->
-      ignore (Calendar.peek_min_exn q));
-  Alcotest.check_raises "negative key"
-    (Invalid_argument "Calendar.push: negative key") (fun () ->
-      Calendar.push q (-1, 0))
-
-let test_calendar_year_wrap () =
-  (* All pending events more than a year beyond the last pop: the scan
-     must fall through to the direct search rather than spin or return a
-     later-year element early. *)
-  let q = cal_create () in
-  Calendar.push q (1, 0);
-  ignore (Calendar.pop_min_exn q);
-  List.iter (Calendar.push q) [ (50_000_000, 1); (40_000_000, 2) ];
-  checkb "direct search min" true (Calendar.peek_min_exn q = (40_000_000, 2));
-  checkb "order across years" true
-    (cal_drain q = [ (40_000_000, 2); (50_000_000, 1) ])
-
-let test_calendar_filter () =
-  let q = cal_create () in
-  for s = 0 to 199 do
-    Calendar.push q (s * 10, s)
+(* The one-event-at-a-time reference loop: [Sim.step] until it declines,
+   then [Sim.run_until] only to move the clock to the horizon — nothing
+   at or before it is left to dispatch. *)
+let run_until_reference sim horizon =
+  while Sim.step sim ~until:horizon do
+    ()
   done;
-  Calendar.filter q (fun (_, s) -> s mod 2 = 0);
-  checki "kept" 100 (Calendar.length q);
-  checkb "survivors sorted" true
-    (cal_drain q = List.init 100 (fun i -> (20 * i, 2 * i)));
-  (* Filtering everything away leaves a working queue. *)
-  for s = 0 to 9 do
-    Calendar.push q (s, s)
-  done;
-  Calendar.filter q (fun _ -> false);
-  checkb "all dropped" true (Calendar.is_empty q);
-  Calendar.push q (7, 0);
-  checkb "usable after empty filter" true (Calendar.pop_min q = Some (7, 0))
+  Sim.run_until sim horizon
 
-let test_calendar_resize () =
-  let q = cal_create () in
-  for s = 0 to 999 do
-    Calendar.push q (s * 1000, s)
-  done;
-  checkb "grew" true (Calendar.capacity q >= 512);
-  for _ = 1 to 950 do
-    ignore (Calendar.pop_min_exn q)
-  done;
-  checkb "shrank" true (Calendar.capacity q < 512);
-  checki "length" 50 (Calendar.length q);
-  checkb "remaining in order" true
-    (cal_drain q = List.init 50 (fun i -> ((950 + i) * 1000, 950 + i)))
-
-let test_calendar_interleaved_lower_key () =
-  (* Pushing below the last-popped key must lower the dequeue cursor. *)
-  let q = cal_create () in
-  List.iter (Calendar.push q) [ (100, 0); (200, 1) ];
-  checkb "first" true (Calendar.pop_min_exn q = (100, 0));
-  Calendar.push q (50, 2);
-  checkb "lower key surfaces" true (Calendar.pop_min_exn q = (50, 2));
-  checkb "then the rest" true (Calendar.pop_min_exn q = (200, 1))
-
-let test_calendar_bucket_recycling () =
-  let q = cal_create () in
-  checki "fresh queue has recycled nothing" 0 (Calendar.recycled q);
-  (* Grow/shrink oscillations over the same size range: the first cycle
-     parks the retired bucket generations, later cycles must be served
-     from the parked spare instead of allocating fresh arrays. *)
-  for cycle = 1 to 3 do
-    for s = 0 to 599 do
-      Calendar.push q ((cycle * 10_000) + s, s)
-    done;
-    for _ = 1 to 600 do
-      ignore (Calendar.pop_min_exn q)
-    done
-  done;
-  checkb
-    (Printf.sprintf "later cycles reuse parked generations (%d)"
-       (Calendar.recycled q))
-    true
-    (Calendar.recycled q > 0);
-  (* Recycled buckets must come back scrubbed: the queue behaves
-     exactly as a fresh one afterwards. *)
-  for s = 0 to 99 do
-    Calendar.push q (s * 7, s)
-  done;
-  checkb "drains sorted after recycling" true
-    (cal_drain q = List.init 100 (fun i -> (7 * i, i)))
-
-let test_calendar_pop_if_key () =
-  let q = cal_create () in
-  let none = (-1, -1) in
-  checkb "empty queue declines" true (Calendar.pop_if_key q ~key:0 ~none == none);
-  List.iteri (fun s k -> Calendar.push q (k, s)) [ 100; 100; 100; 200 ];
-  checkb "first of the run" true (Calendar.pop_min_exn q = (100, 0));
-  (* The two remaining key-100 elements drain through the fast path in
-     FIFO order; the key-200 element must not. *)
-  checkb "second of the run" true (Calendar.pop_if_key q ~key:100 ~none = (100, 1));
-  checkb "third of the run" true (Calendar.pop_if_key q ~key:100 ~none = (100, 2));
-  checkb "run exhausted" true (Calendar.pop_if_key q ~key:100 ~none == none);
-  checkb "later key untouched" true (Calendar.pop_min_exn q = (200, 3));
-  (* A refused pop leaves the queue fully intact. *)
-  List.iteri (fun s k -> Calendar.push q (k, s)) [ 300; 400 ];
-  ignore (Calendar.pop_min_exn q);
-  checkb "wrong key refused" true (Calendar.pop_if_key q ~key:300 ~none == none);
-  checki "nothing lost" 1 (Calendar.length q);
-  checkb "normal pop still works" true (Calendar.pop_min_exn q = (400, 1))
-
-let test_calendar_resize_counter () =
-  let q = cal_create () in
-  checki "fresh queue has not resized" 0 (Calendar.resizes q);
-  for s = 0 to 999 do
-    Calendar.push q (s * 1000, s)
-  done;
-  checkb "growth counted" true (Calendar.resizes q > 0);
-  let grown = Calendar.resizes q in
-  ignore (cal_drain q);
-  checkb "shrinks counted too" true (Calendar.resizes q > grown)
-
-let prop_calendar_matches_heap =
-  QCheck.Test.make ~name:"calendar drains exactly like a heap" ~count:200
-    QCheck.(list (int_bound 100_000))
-    (fun keys ->
-      let q = cal_create () in
-      let h = Heap.create ~cmp:cal_cmp in
-      List.iteri
-        (fun s k ->
-          Calendar.push q (k, s);
-          Heap.push h (k, s))
-        keys;
-      let rec hdrain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> hdrain (x :: acc)
-      in
-      cal_drain q = hdrain [])
-
-(* ---------- heap / calendar dispatch equivalence ---------- *)
-
-(* Random interleavings of the whole Sim API, replayed on both backends:
-   the dispatch traces (instant, op id) must match event for event.
-   Driver events apply one op each; Burst + Bulk push the tombstone
-   population past the compaction threshold so the lazy-deletion sweep
-   runs under both backends. *)
+(* Random interleavings of the whole Sim API, replayed under the batched
+   [Sim.run_until] and the reference loop: the dispatch traces (instant,
+   op id) must match event for event. Driver events apply one op each;
+   Burst + Bulk push the tombstone population past the compaction
+   threshold so the lazy-deletion sweep runs too. *)
 type sim_op =
   | Sched of int  (* one-shot, ms after the driver fires *)
   | Every of int  (* periodic, period in ms *)
@@ -348,9 +191,8 @@ let sim_op_arb =
     ~print:(Format.asprintf "%a" (Format.pp_print_list pp_sim_op))
     QCheck.Gen.(list_size (1 -- 30) sim_op_gen)
 
-let run_ops ?(batch = true) backend ops =
-  let sim = Sim.create ~backend () in
-  Sim.set_batch_runs sim batch;
+let run_ops ?(run_until = Sim.run_until) ops =
+  let sim = Sim.create () in
   let trace = ref [] in
   let mark id () = trace := (Time.to_ns (Sim.now sim), id) :: !trace in
   let handles = ref [] in
@@ -376,33 +218,23 @@ let run_ops ?(batch = true) backend ops =
                  done
              | Bulk -> List.iter (Sim.cancel sim) !handles)))
     ops;
-  Sim.run_until sim (Time.of_ms (List.length ops + 1500));
+  run_until sim (Time.of_ms (List.length ops + 1500));
   ( List.rev !trace,
     Sim.events_dispatched sim,
     Sim.live_pending sim,
     Sim.max_live_pending sim )
 
-let prop_backends_equivalent =
-  QCheck.Test.make ~name:"heap and calendar dispatch identical traces"
-    ~count:100 sim_op_arb
-    (fun ops ->
-      run_ops Event_queue.Heap ops = run_ops Event_queue.Calendar ops)
-
 (* Batched run dispatch must be a pure speed change: the one-event
    reference loop and the batched loop see the same traces — including
-   the clock value each thunk observes — and the same counters, on both
-   backends. The generator's driver events (one per millisecond) plus
-   Burst put several events on equal instants, so runs of length > 1 are
+   the clock value each thunk observes — and the same counters. The
+   generator's driver events (one per millisecond) plus Burst put
+   several events on equal instants, so runs of length > 1 are
    exercised, as are thunks that schedule new work at the current
    instant mid-run. *)
 let prop_batching_invisible =
   QCheck.Test.make ~name:"batched dispatch matches the reference loop"
     ~count:100 sim_op_arb
-    (fun ops ->
-      run_ops ~batch:true Event_queue.Heap ops
-      = run_ops ~batch:false Event_queue.Heap ops
-      && run_ops ~batch:true Event_queue.Calendar ops
-         = run_ops ~batch:false Event_queue.Calendar ops)
+    (fun ops -> run_ops ops = run_ops ~run_until:run_until_reference ops)
 
 (* ---------- reusable timers ---------- *)
 
@@ -441,11 +273,10 @@ let test_sim_timer_disarm () =
 (* Random interleavings of the reusable-timer API, replayed against a
    reference program that expresses each re-arm as cancel + fresh
    schedule_after. The two must be indistinguishable — identical
-   dispatch traces AND identical counters — on both backends. A
-   [T_self] op turns a timer into a self-re-arming loop for a few
-   firings, exercising the fired-then-re-armed (reuse-in-place) path;
-   [T_arm] over a pending arm exercises the supersede (tombstone +
-   fresh record) path. *)
+   dispatch traces AND identical counters. A [T_self] op turns a timer
+   into a self-re-arming loop for a few firings, exercising the
+   fired-then-re-armed (reuse-in-place) path; [T_arm] over a pending arm
+   exercises the supersede (tombstone + fresh record) path. *)
 type timer_op =
   | T_arm of int * int  (* timer index, delay in ms *)
   | T_disarm of int
@@ -478,8 +309,8 @@ let timer_op_arb =
     ~print:(Format.asprintf "%a" (Format.pp_print_list pp_timer_op))
     QCheck.Gen.(list_size (1 -- 30) timer_op_gen)
 
-let run_timer_ops backend ops =
-  let sim = Sim.create ~backend () in
+let run_timer_ops ops =
+  let sim = Sim.create () in
   let trace = ref [] in
   let mark id = trace := (Time.to_ns (Sim.now sim), id) :: !trace in
   let self_n = Array.make n_timers 0 in
@@ -524,8 +355,8 @@ let run_timer_ops backend ops =
    last handle unconditionally — even after it fired — because that is
    what [Sim.disarm] does, and the cancel-after-fire tombstone is
    visible in [live_pending]. *)
-let run_ref_ops backend ops =
-  let sim = Sim.create ~backend () in
+let run_ref_ops ops =
+  let sim = Sim.create () in
   let trace = ref [] in
   let mark id = trace := (Time.to_ns (Sim.now sim), id) :: !trace in
   let self_n = Array.make n_timers 0 in
@@ -572,15 +403,8 @@ let run_ref_ops backend ops =
     Sim.max_live_pending sim )
 
 let prop_timers_equivalent =
-  QCheck.Test.make
-    ~name:"reusable timers match cancel+reschedule on both backends"
-    ~count:100 timer_op_arb
-    (fun ops ->
-      let a = run_timer_ops Event_queue.Heap ops in
-      let b = run_timer_ops Event_queue.Calendar ops in
-      let c = run_ref_ops Event_queue.Heap ops in
-      let d = run_ref_ops Event_queue.Calendar ops in
-      a = b && a = c && a = d)
+  QCheck.Test.make ~name:"reusable timers match cancel+reschedule" ~count:100
+    timer_op_arb (fun ops -> run_timer_ops ops = run_ref_ops ops)
 
 (* ---------- Prng ---------- *)
 
@@ -677,10 +501,9 @@ let test_sim_horizon_excludes_later () =
    including same-instant work its own thunks add mid-run; a run
    straddling two [run_until] calls at the same horizon neither drops
    nor double-fires; and the first event past the horizon stays put.
-   Checked on both backends, batched and reference loop. *)
-let sim_horizon_edge ~batch backend () =
-  let sim = Sim.create ~backend () in
-  Sim.set_batch_runs sim batch;
+   Checked under the batched loop and the reference loop. *)
+let sim_horizon_edge ~run_until () =
+  let sim = Sim.create () in
   let h = Time.of_sec 5 in
   let log = ref [] in
   let mark tag () = log := (tag, Time.to_ns (Sim.now sim)) :: !log in
@@ -693,7 +516,7 @@ let sim_horizon_edge ~batch backend () =
          ignore (Sim.schedule_after sim (Time.span_of_ms 0) (mark "spawned"))));
   ignore (Sim.schedule_at sim h (mark "at3"));
   ignore (Sim.schedule_at sim (Time.of_ns (Time.to_ns h + 1)) (mark "after"));
-  Sim.run_until sim h;
+  run_until sim h;
   let ns = Time.to_ns h in
   check
     Alcotest.(list (pair string int))
@@ -706,21 +529,21 @@ let sim_horizon_edge ~batch backend () =
   checki "clock at horizon" ns (Time.to_ns (Sim.now sim));
   (* Re-running to the same horizon dispatches nothing twice. *)
   let fired = Sim.events_dispatched sim in
-  Sim.run_until sim h;
+  run_until sim h;
   checki "no re-dispatch" fired (Sim.events_dispatched sim);
   (* The equal-timestamp run straddles run_until calls: more work lands
      at the same instant after the first call returned. *)
   log := [];
   ignore (Sim.schedule_at sim h (mark "late1"));
   ignore (Sim.schedule_at sim h (mark "late2"));
-  Sim.run_until sim h;
+  run_until sim h;
   check
     Alcotest.(list (pair string int))
     "straddling run completes" [ ("late1", ns); ("late2", ns) ]
     (List.rev !log);
   (* One nanosecond further releases the held-back event, exactly once. *)
   log := [];
-  Sim.run_until sim (Time.of_ns (ns + 1));
+  run_until sim (Time.of_ns (ns + 1));
   check
     Alcotest.(list (pair string int))
     "past-horizon event released" [ ("after", ns + 1) ]
@@ -952,23 +775,6 @@ let () =
           Alcotest.test_case "invalid" `Quick test_time_invalid;
           Alcotest.test_case "compare" `Quick test_time_compare;
         ] );
-      ( "calendar",
-        [
-          Alcotest.test_case "sorted drain" `Quick test_calendar_sorted_drain;
-          Alcotest.test_case "empty and errors" `Quick test_calendar_empty;
-          Alcotest.test_case "year wrap" `Quick test_calendar_year_wrap;
-          Alcotest.test_case "filter" `Quick test_calendar_filter;
-          Alcotest.test_case "resize" `Quick test_calendar_resize;
-          Alcotest.test_case "lower key after pop" `Quick
-            test_calendar_interleaved_lower_key;
-          Alcotest.test_case "bucket recycling" `Quick
-            test_calendar_bucket_recycling;
-          Alcotest.test_case "pop_if_key fast path" `Quick
-            test_calendar_pop_if_key;
-          Alcotest.test_case "resize counter" `Quick
-            test_calendar_resize_counter;
-        ] );
-      qsuite "calendar-props" [ prop_calendar_matches_heap ];
       ( "heap",
         [
           Alcotest.test_case "sorted drain" `Quick test_heap_order;
@@ -997,13 +803,9 @@ let () =
           Alcotest.test_case "clock" `Quick test_sim_clock_advances;
           Alcotest.test_case "horizon" `Quick test_sim_horizon_excludes_later;
           Alcotest.test_case "horizon edge (heap, batched)" `Quick
-            (sim_horizon_edge ~batch:true Event_queue.Heap);
+            (sim_horizon_edge ~run_until:Sim.run_until);
           Alcotest.test_case "horizon edge (heap, reference)" `Quick
-            (sim_horizon_edge ~batch:false Event_queue.Heap);
-          Alcotest.test_case "horizon edge (calendar, batched)" `Quick
-            (sim_horizon_edge ~batch:true Event_queue.Calendar);
-          Alcotest.test_case "horizon edge (calendar, reference)" `Quick
-            (sim_horizon_edge ~batch:false Event_queue.Calendar);
+            (sim_horizon_edge ~run_until:run_until_reference);
           Alcotest.test_case "cancel" `Quick test_sim_cancel;
           Alcotest.test_case "past rejected" `Quick
             test_sim_schedule_past_rejected;
@@ -1025,7 +827,6 @@ let () =
       qsuite "sim-props"
         [
           prop_sim_events_in_time_order;
-          prop_backends_equivalent;
           prop_batching_invisible;
           prop_timers_equivalent;
         ];

@@ -2,8 +2,7 @@
    splice must reproduce from-scratch tables bit-for-bit (tie-breaks
    included), and the bounded repair path must keep every multicast tree
    equal to the reverse-path union a full rescan would produce — across
-   random up/down/join/leave interleavings, on both event-queue
-   backends, and at 500+ node scale. Routing tables are checked against
+   random up/down/join/leave interleavings, and at 500+ node scale. Routing tables are checked against
    a test-only reference Dijkstra that shares no code with
    [Routing], since [Routing.compute] runs the kernel under test. *)
 
@@ -225,10 +224,10 @@ let arbitrary_case =
    well inside that), and demand exact table and tree equality with the
    from-scratch oracles after every step: every column against the
    reference Dijkstra, the tree against the reverse-path union. *)
-let run_case ~backend ((g, ops) : graph * op list) =
+let run_case ((g, ops) : graph * op list) =
   let topo = build_topo g in
   let n = Topology.node_count topo in
-  let sim = Sim.create ~seed:1L ~backend () in
+  let sim = Sim.create ~seed:1L () in
   let nw = Network.create ~sim topo in
   let router = Router.create ~network:nw () in
   let group = Router.fresh_group router ~source:0 in
@@ -285,12 +284,9 @@ let run_case ~backend ((g, ops) : graph * op list) =
     ops;
   !ok
 
-let prop_churn_matches_fresh_compute backend =
-  QCheck.Test.make
-    ~name:
-      (Printf.sprintf "churn == fresh compute (%s backend)"
-         (Engine.Event_queue.backend_to_string backend))
-    ~count:60 arbitrary_case (run_case ~backend)
+let prop_churn_matches_fresh_compute =
+  QCheck.Test.make ~name:"churn == fresh compute (heap backend)" ~count:60
+    arbitrary_case run_case
 
 (* Routing alone, flaps interleaved with lazy materialization: after
    every step exactly the queried columns exist, each equals the
@@ -388,18 +384,6 @@ let test_kary_storm_consistent () =
        o.routing_recomputes o.full_recompute_equiv)
     true
     (o.routing_recomputes * 4 < o.full_recompute_equiv * 3)
-
-(* The storm is deterministic per seed and backend-independent. *)
-let test_storm_backend_invariant () =
-  let run backend =
-    Recovery.churn_storm ~fanout:3 ~depth:2 ~flaps:12 ~churners:4
-      ~duration:(Time.of_sec 120) ~backend ()
-  in
-  let h = run Engine.Event_queue.Heap in
-  let c = run Engine.Event_queue.Calendar in
-  checkb "identical outcomes on both backends" true (h = c);
-  checkb "tables consistent" true h.tables_consistent;
-  checkb "tree consistent" true h.tree_consistent
 
 (* Flapping a redundant link is nearly free end to end: a leaf-level
    sibling link carries only the two leaves' mutual traffic, so the
@@ -673,16 +657,13 @@ let () =
       ( "property",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_churn_matches_fresh_compute Engine.Event_queue.Heap;
-            prop_churn_matches_fresh_compute Engine.Event_queue.Calendar;
+            prop_churn_matches_fresh_compute;
             prop_lazy_columns_match_reference;
           ] );
       ( "storm",
         [
           Alcotest.test_case "585-node k-ary storm" `Slow
             test_kary_storm_consistent;
-          Alcotest.test_case "backend invariant" `Slow
-            test_storm_backend_invariant;
         ] );
       ( "routing-api",
         [

@@ -699,6 +699,66 @@ let prop_sim_events_in_time_order =
       List.length f = List.length times
       && List.for_all2 ( = ) f (List.stable_sort Int.compare times))
 
+(* The scheduler against a pure model of its contract: the events that
+   fire are exactly those scheduled and not cancelled, in stable
+   [(time, seq)] order. Times are drawn from a narrow range so equal
+   instants are common; cancels hit live, already-cancelled and (via
+   [Sched] after a cancel) interleaved handles. *)
+type dispatch_op = D_sched of int | D_cancel of int
+
+let dispatch_op_arb =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (3, map (fun ms -> D_sched ms) (0 -- 20));
+        (1, map (fun k -> D_cancel k) nat);
+      ]
+  in
+  QCheck.make
+    ~print:
+      (QCheck.Print.list (function
+        | D_sched ms -> Printf.sprintf "Sched %d" ms
+        | D_cancel k -> Printf.sprintf "Cancel %d" k))
+    (list_size (0 -- 60) op)
+
+let prop_dispatch_matches_model =
+  QCheck.Test.make ~name:"scheduler drains like a sorted-list model"
+    ~count:200 dispatch_op_arb (fun ops ->
+      let sim = Sim.create () in
+      let fired = ref [] in
+      let scheduled = ref [] (* (id, ms, handle), newest first *) in
+      let cancelled = Hashtbl.create 8 in
+      List.iteri
+        (fun id op ->
+          match op with
+          | D_sched ms ->
+              let h =
+                Sim.schedule_at sim (Time.of_ms ms) (fun () ->
+                    fired := id :: !fired)
+              in
+              scheduled := (id, ms, h) :: !scheduled
+          | D_cancel k -> (
+              match !scheduled with
+              | [] -> ()
+              | s ->
+                  let id', _, h = List.nth s (k mod List.length s) in
+                  Sim.cancel sim h;
+                  Hashtbl.replace cancelled id' ()))
+        ops;
+      let expected =
+        List.rev !scheduled
+        |> List.filter (fun (id, _, _) -> not (Hashtbl.mem cancelled id))
+        |> List.stable_sort (fun (_, a, _) (_, b, _) -> Int.compare a b)
+        |> List.map (fun (id, _, _) -> id)
+      in
+      let live = Sim.live_pending sim in
+      Sim.run_until sim (Time.of_ms 21);
+      live = List.length expected
+      && List.rev !fired = expected
+      && Sim.events_dispatched sim = List.length expected
+      && Sim.live_pending sim = 0)
+
 (* ---------- Stats ---------- *)
 
 let test_stats_basic () =
@@ -830,6 +890,7 @@ let () =
           prop_batching_invisible;
           prop_timers_equivalent;
         ];
+      qsuite "dispatch-props" [ prop_dispatch_matches_model ];
       ( "stats",
         [
           Alcotest.test_case "basic" `Quick test_stats_basic;

@@ -953,25 +953,21 @@ let decision_sweep () =
 
 let congestion_stage =
   let snap =
-    {
-      Discovery.Snapshot.session = 0;
-      taken_at = Time.zero;
-      source = 0;
-      edges =
-        List.concat_map
-          (fun b ->
-            { Discovery.Snapshot.parent = 0; child = b; layers = [ 0 ] }
-            :: List.map
-                 (fun l ->
-                   {
-                     Discovery.Snapshot.parent = b;
-                     child = (10 * b) + l;
-                     layers = [ 0 ];
-                   })
-                 [ 1; 2; 3; 4 ])
-          [ 1; 2; 3 ];
-      members = [];
-    }
+    Discovery.Snapshot.make ~session:0 ~taken_at:Time.zero ~source:0
+      ~edges:
+        (List.concat_map
+           (fun b ->
+             { Discovery.Snapshot.parent = 0; child = b; layers = [ 0 ] }
+             :: List.map
+                  (fun l ->
+                    {
+                      Discovery.Snapshot.parent = b;
+                      child = (10 * b) + l;
+                      layers = [ 0 ];
+                    })
+                  [ 1; 2; 3; 4 ])
+           [ 1; 2; 3 ])
+      ~members:[]
   in
   let tree = Toposense.Tree.of_snapshot snap in
   fun () ->
@@ -987,18 +983,14 @@ let algorithm_step =
   in
   let tree =
     Toposense.Tree.of_snapshot
-      {
-        Discovery.Snapshot.session = 0;
-        taken_at = Time.zero;
-        source = 0;
-        edges =
-          [
-            { Discovery.Snapshot.parent = 0; child = 1; layers = [ 0 ] };
-            { Discovery.Snapshot.parent = 1; child = 2; layers = [ 0 ] };
-            { Discovery.Snapshot.parent = 1; child = 3; layers = [ 0 ] };
-          ];
-        members = [ (2, 2); (3, 3) ];
-      }
+      (Discovery.Snapshot.make ~session:0 ~taken_at:Time.zero ~source:0
+         ~edges:
+           [
+             { Discovery.Snapshot.parent = 0; child = 1; layers = [ 0 ] };
+             { Discovery.Snapshot.parent = 1; child = 2; layers = [ 0 ] };
+             { Discovery.Snapshot.parent = 1; child = 3; layers = [ 0 ] };
+           ]
+         ~members:[ (2, 2); (3, 3) ])
   in
   let counter = ref 0 in
   fun () ->

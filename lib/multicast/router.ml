@@ -32,6 +32,10 @@ type t = {
       (** reusable fan-out buffer: [handle] spills a group's outgoing
           interface set here so forwarding iterates a flat array instead
           of allocating a per-packet closure over the bitset *)
+  kids_scratch : Addr.node_id list array;
+      (** node-indexed, all empty between calls: [edges_snapshot] buckets
+          a tree's children by parent here instead of allocating a table
+          or sorting *)
   leave_latency : Time.span;
   expedited_leave : bool;
   (* Group ids are dense (allocated by [fresh_group]), so the per-packet
@@ -335,13 +339,25 @@ and detach_other_parents t ~group ~node ~keep =
             others)
 
 (* Recorded edges as a sorted (parent, child) snapshot — iteration order
-   of the former pair-set, safe to iterate while edges are removed. *)
-let edges_snapshot tr =
-  let acc = ref [] in
-  for c = Array.length tr.parents - 1 downto 0 do
-    List.iter (fun p -> acc := (p, c) :: !acc) tr.parents.(c)
+   of the former pair-set, safe to iterate while edges are removed.
+   Bucketing the children by parent emits that order directly, in
+   O(nodes + edges) without a comparison sort; the buckets are emptied
+   again on the way out. *)
+let edges_snapshot t tr =
+  let kids = t.kids_scratch in
+  (* each parent's children, descending *)
+  for c = 0 to Array.length tr.parents - 1 do
+    List.iter (fun p -> kids.(p) <- c :: kids.(p)) tr.parents.(c)
   done;
-  List.sort compare !acc
+  let acc = ref [] in
+  for p = Array.length kids - 1 downto 0 do
+    match kids.(p) with
+    | [] -> ()
+    | cs ->
+        List.iter (fun c -> acc := (p, c) :: !acc) cs;
+        kids.(p) <- []
+  done;
+  !acc
 
 (* Sweep 1 of tree repair: cut every recorded edge of [group] that no
    longer lies on the child's reverse path toward the source (the
@@ -367,7 +383,7 @@ let cut_invalid_edges t ~group ~src =
             t.edges_repaired <- t.edges_repaired + 1;
             Bitset.add cut_parents p
           end)
-        (edges_snapshot tr));
+        (edges_snapshot t tr));
   cut_parents
 
 (* Does [n] have a recorded parent edge? [graft] and [maybe_prune] only
@@ -482,6 +498,7 @@ let create ~network ?(leave_latency = Time.span_of_sec 1)
       arena = Network.arena network;
       node_count = Network.node_count network;
       oif_scratch = Array.make 8 0;
+      kids_scratch = Array.make (Network.node_count network) [];
       leave_latency;
       expedited_leave;
       src_of = [||];
@@ -535,7 +552,16 @@ let leave t ~node ~group =
     end
   end
 
-let is_member t ~node ~group = (state t node group).local
+(* Read-only probe of a node's group state: [None] when none was ever
+   allocated, without allocating one (discovery reads every member). *)
+let find_state t node group =
+  if group < 0 || group >= Array.length t.state_rows then None
+  else
+    let row = t.state_rows.(group) in
+    if node < 0 || node >= Array.length row then None else row.(node)
+
+let is_member t ~node ~group =
+  match find_state t node group with Some st -> st.local | None -> false
 
 (* A node crash wipes every trace of the node from the group tables: the
    per-link repairs the crash's link-downs triggered have already cut the
@@ -612,9 +638,10 @@ let members t ~group =
 let tree_edges t ~group =
   match Hashtbl.find_opt t.edges_by_group group with
   | None -> []
-  | Some tr -> edges_snapshot tr
+  | Some tr -> edges_snapshot t tr
 
-let on_tree t ~node ~group = (state t node group).on_tree
+let on_tree t ~node ~group =
+  match find_state t node group with Some st -> st.on_tree | None -> false
 
 let delivered t ~group =
   if group < 0 || group >= Array.length t.delivered_by_group then 0

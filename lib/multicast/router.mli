@@ -55,7 +55,8 @@ val leave : t -> node:Net.Addr.node_id -> group:Net.Addr.group_id -> unit
 
 val is_member : t -> node:Net.Addr.node_id -> group:Net.Addr.group_id -> bool
 (** Local membership as requested by the application (ignores pending
-    leave timers). *)
+    leave timers). A read: [false] for a (node, group) pair with no
+    state, without allocating any. *)
 
 val crash_node : t -> node:Net.Addr.node_id -> unit
 (** Wipes every trace of [node] from the group tables — local
@@ -81,9 +82,11 @@ val tree_edges :
   t -> group:Net.Addr.group_id -> (Net.Addr.node_id * Net.Addr.node_id) list
 (** Installed forwarding edges as (parent, child) pairs — the actual
     distribution tree, including branches kept alive by leave latency.
+    Sorted by (parent, child); O(nodes + edges), no comparison sort.
     Used by the topology-discovery tool. *)
 
 val on_tree : t -> node:Net.Addr.node_id -> group:Net.Addr.group_id -> bool
+(** Whether [node] is on [group]'s tree; a read like {!is_member}. *)
 
 val delivered : t -> group:Net.Addr.group_id -> int
 (** Packets delivered to local members of [group] (all nodes), for tests. *)

@@ -174,13 +174,8 @@ let latest t ~session =
         |> List.sort compare
       in
       Some
-        {
-          Discovery.Snapshot.session;
-          taken_at = !oldest;
-          source = t.node;
-          edges;
-          members;
-        }
+        (Discovery.Snapshot.make ~session ~taken_at:!oldest ~source:t.node
+           ~edges ~members)
 
 let queries_sent t = t.queries_sent
 let responses_received t = t.responses_received

@@ -296,16 +296,13 @@ let test_classic_leave_waits () =
 (* ---------- snapshot restriction ---------- *)
 
 let snap ~edges ~members =
-  {
-    Discovery.Snapshot.session = 0;
-    taken_at = Time.zero;
-    source = 0;
-    edges =
-      List.map
-        (fun (parent, child) -> { Discovery.Snapshot.parent; child; layers = [ 0 ] })
-        edges;
-    members;
-  }
+  Discovery.Snapshot.make ~session:0 ~taken_at:Time.zero ~source:0
+    ~edges:
+      (List.map
+         (fun (parent, child) ->
+           { Discovery.Snapshot.parent; child; layers = [ 0 ] })
+         edges)
+    ~members
 
 let full_tree =
   snap

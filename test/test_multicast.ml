@@ -178,6 +178,38 @@ let test_members_listing () =
   Alcotest.check (Alcotest.list Alcotest.int) "membership instant" [ 2 ]
     (Router.members router ~group:g)
 
+(* Reads of (node, group) pairs that have no state — a group nobody
+   joined, a group id never allocated, the off-tree nodes of a live
+   group — answer false without allocating per-node state: discovery
+   reads every member's level across all layer groups. *)
+let test_absent_reads_allocate_nothing () =
+  let sim = Sim.create () in
+  let spec = Scenarios.Builders.kary ~fanout:4 ~depth:3 () in
+  let nw = Network.create ~sim spec.topology in
+  let router = Router.create ~network:nw () in
+  let n = Topology.node_count spec.topology in
+  let live = Router.fresh_group router ~source:0 in
+  let idle = Router.fresh_group router ~source:0 in
+  Router.join router ~node:(n - 1) ~group:live;
+  settle sim 1.0;
+  let groups = [| live; idle; idle + 7 |] in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for node = 0 to n - 2 do
+    for k = 0 to Array.length groups - 1 do
+      let group = groups.(k) in
+      if Router.is_member router ~node ~group then incr hits;
+      if group <> live && Router.on_tree router ~node ~group then incr hits
+    done
+  done;
+  let words = Gc.minor_words () -. before in
+  checki "all absent" 0 !hits;
+  checkb
+    (Printf.sprintf "%.0f minor words over %d nodes" words n)
+    true (words < 64.0);
+  checkb "member still seen" true
+    (Router.is_member router ~node:(n - 1) ~group:live)
+
 let test_groups_independent () =
   let sim, nw, router = star () in
   let g1 = Router.fresh_group router ~source:0 in
@@ -292,6 +324,8 @@ let () =
         [
           Alcotest.test_case "tree edges" `Quick test_tree_edges;
           Alcotest.test_case "members listing" `Quick test_members_listing;
+          Alcotest.test_case "absent reads allocate nothing" `Quick
+            test_absent_reads_allocate_nothing;
         ] );
       qsuite "props" [ prop_delivery_matches_membership ];
     ]

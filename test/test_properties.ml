@@ -30,13 +30,8 @@ let snapshot_of (n, levels) =
     |> List.filter (fun (node, _) -> node <> 0)
     |> List.map (fun (node, l) -> (node, max 1 l))
   in
-  {
-    Discovery.Snapshot.session = 0;
-    taken_at = Time.zero;
-    source = 0;
-    edges;
-    members;
-  }
+  Discovery.Snapshot.make ~session:0 ~taken_at:Time.zero ~source:0 ~edges
+    ~members
 
 let arbitrary_tree =
   QCheck.make

@@ -94,17 +94,13 @@ let test_validate_rejects_overlap_and_empty () =
 
 let test_restrict_error_names_ingresses () =
   let snap =
-    {
-      Discovery.Snapshot.session = 5;
-      taken_at = Time.zero;
-      source = 0;
-      edges =
-        List.map
-          (fun (parent, child) ->
-            { Discovery.Snapshot.parent; child; layers = [ 0 ] })
-          [ (0, 1); (1, 2); (1, 3); (2, 4); (3, 6) ];
-      members = [ (4, 2); (6, 1) ];
-    }
+    Discovery.Snapshot.make ~session:5 ~taken_at:Time.zero ~source:0
+      ~edges:
+        (List.map
+           (fun (parent, child) ->
+             { Discovery.Snapshot.parent; child; layers = [ 0 ] })
+           [ (0, 1); (1, 2); (1, 3); (2, 4); (3, 6) ])
+      ~members:[ (4, 2); (6, 1) ]
   in
   match Discovery.Snapshot.restrict snap ~domain:[ 4; 6 ] with
   | _ -> Alcotest.fail "two-ingress restrict must raise"

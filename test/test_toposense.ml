@@ -24,17 +24,13 @@ let params = Params.default
 (* Build a snapshot by hand: edges as (parent, child, layers), members as
    (node, level). *)
 let snapshot ?(session = 0) ?(source = 0) ~edges ~members () =
-  {
-    Discovery.Snapshot.session;
-    taken_at = Time.zero;
-    source;
-    edges =
-      List.map
-        (fun (parent, child, layers) ->
-          { Discovery.Snapshot.parent; child; layers })
-        edges;
-    members;
-  }
+  Discovery.Snapshot.make ~session ~taken_at:Time.zero ~source
+    ~edges:
+      (List.map
+         (fun (parent, child, layers) ->
+           { Discovery.Snapshot.parent; child; layers })
+         edges)
+    ~members
 
 (* The Fig. 1-ish shape used throughout:
    0 -> 1 -> {2 -> {4, 5}, 3 -> {6, 7}} with members 4..7. *)

@@ -572,9 +572,10 @@ let engine_churn_row ~sim_s () =
 (* Churn storm at scale (PR 6): sustained link flaps + membership churn
    on a 259-node 6-ary tree, no data plane — the cost measured is pure
    incremental route & tree maintenance. The extras pin the
-   damage-proportional counters; the CI gate bounds [recomputes] so the
-   full-recompute-per-event path cannot silently return (it would cost
-   [full_recompute_equiv], an order of magnitude more). The run aborts
+   damage-proportional counters; test_incremental's churn-storm budgets
+   test bounds [recomputes] and words per event on this same smoke
+   storm, so the full-recompute-per-event path (it would cost
+   [full_recompute_equiv]) cannot silently return. The run aborts
    if the storm ends inconsistent, so the bench doubles as an
    at-scale correctness check. *)
 let churn_storm_row ~sim_s () =

@@ -27,6 +27,10 @@ type t = {
   mutable heap_dist : int array;
   mutable heap_node : int array;
   mutable heap_len : int;
+  (* Scratch for link-down repair: the orphaned subtree of the column
+     being repaired. [||] until the first link-down, then [node_count]
+     long; owned by this [t] like the heap. *)
+  mutable orphans : int array;
   mutable recomputes : int;
   mutable materialized : int;
   mutable heap_pushes : int;
@@ -137,25 +141,22 @@ let relax t ~d dist next =
   in
   loop 0
 
-(* One Dijkstra rooted at [d] fills, for every node, its next hop toward
-   [d] — the neighbor through which the node was finalized — and its
-   distance. The columns must arrive blank: [max_int] and [-1]. *)
-let dijkstra_into t d dist next =
-  dist.(d) <- 0;
-  heap_push t 0 d;
-  t.heap_pushes <- t.heap_pushes + 1 + relax t ~d dist next
-
 let is_materialized t d = Array.length t.next.(d) <> 0
 
 (* First query for a destination computes its column against the current
    down flags — bit-identical to what an eager [compute] plus the
    incremental updates would have produced, since both leave the unique
-   canonical table for the live topology. Not billed to [recomputes]:
-   like the eager initial computation, it is creation, not damage. *)
+   canonical table for the live topology. One Dijkstra rooted at [d]
+   fills, for every node, its next hop toward [d] — the neighbor through
+   which the node was finalized — and its distance. Not billed to
+   [recomputes]: like the eager initial computation, it is creation, not
+   damage. *)
 let materialize_dst t d =
   let dist = Array.make t.node_count max_int in
   let next = Array.make t.node_count (-1) in
-  dijkstra_into t d dist next;
+  dist.(d) <- 0;
+  heap_push t 0 d;
+  t.heap_pushes <- t.heap_pushes + 1 + relax t ~d dist next;
   t.next.(d) <- next;
   t.dist.(d) <- dist;
   t.materialized <- t.materialized + 1
@@ -164,14 +165,70 @@ let column t d =
   if not (is_materialized t d) then materialize_dst t d;
   t.next.(d)
 
-(* Link-down: blank the destination's existing columns and rerun its
-   Dijkstra into them, allocating nothing. *)
-let recompute_dst t d =
+(* Link-down repair of destination [d]'s columns, in the manner of
+   Ramalingam and Reps' decremental shortest paths. [c] is the endpoint
+   whose next hop crossed the failed edge. The orphans are the subtree
+   hanging below [c] — the nodes whose next-hop chain reaches it — and
+   only they are touched: every other node's path never used the edge,
+   so its distance stands, and its canonical next hop stands too, since
+   an orphan's distance can only grow (a neighbor that now ties for the
+   smallest id already tied before). The orphans are blanked, each is
+   seeded from its live non-orphan neighbors with the kernel's
+   (dist, smallest id) rule, and the kernel settles them, its equality
+   branch leaving the canonical tie-breaks among them. An orphan no seed
+   reaches stays at [max_int] and [-1], as a fresh Dijkstra would leave
+   it. The result is bit-identical to a fresh computation, provided link
+   delays are positive (which [Topology.add_duplex] enforces). *)
+let repair_dst t ~d c =
   t.recomputes <- t.recomputes + 1;
-  let dist = t.dist.(d) and next = t.next.(d) in
-  Array.fill dist 0 t.node_count max_int;
-  Array.fill next 0 t.node_count (-1);
-  dijkstra_into t d dist next
+  if Array.length t.orphans = 0 then t.orphans <- Array.make t.node_count 0;
+  let dist = t.dist.(d) and next = t.next.(d) and orphans = t.orphans in
+  let off = t.off and nbr = t.nbr and wt = t.wt and eid = t.eid
+  and down = t.down in
+  (* Breadth-first over the subtree, blanking each orphan as it is
+     collected; a blanked node no longer names its parent, so none is
+     collected twice. *)
+  dist.!(c) <- max_int;
+  next.!(c) <- -1;
+  orphans.!(0) <- c;
+  let len = ref 1 and k = ref 0 in
+  while !k < !len do
+    let u = orphans.!(!k) in
+    incr k;
+    for i = off.!(u) to off.!(u + 1) - 1 do
+      let m = nbr.!(i) in
+      if next.!(m) = u then begin
+        dist.!(m) <- max_int;
+        next.!(m) <- -1;
+        orphans.!(!len) <- m;
+        incr len
+      end
+    done
+  done;
+  (* Seeds go to the heap first and into [dist] only once all are
+     chosen, so an orphan is seeded from non-orphans alone. Rows are in
+     ascending id order: the strict [<] keeps the smallest id on a tie. *)
+  for j = 0 to !len - 1 do
+    let u = orphans.!(j) in
+    let best = ref max_int and via = ref (-1) in
+    for i = off.!(u) to off.!(u + 1) - 1 do
+      if Bytes.unsafe_get down eid.!(i) = '\000' then begin
+        let dm = dist.!(nbr.!(i)) in
+        if dm < max_int && dm + wt.!(i) < !best then begin
+          best := dm + wt.!(i);
+          via := nbr.!(i)
+        end
+      end
+    done;
+    if !via >= 0 then begin
+      next.!(u) <- !via;
+      heap_push t !best u
+    end
+  done;
+  for j = 0 to t.heap_len - 1 do
+    dist.!(t.heap_node.!(j)) <- t.heap_dist.!(j)
+  done;
+  t.heap_pushes <- t.heap_pushes + t.heap_len + relax t ~d dist next
 
 (* Offers [m] the candidate path over the restored edge (n,m) of weight
    [w] in destination [d]'s columns; returns whether it changed them. *)
@@ -272,6 +329,7 @@ let compute topo =
     heap_dist = [||];
     heap_node = [||];
     heap_len = 0;
+    orphans = [||];
     recomputes = 0;
     materialized = 0;
     heap_pushes = 0;
@@ -303,7 +361,7 @@ let slot t a b =
 
 let link_enabled t ~a ~b =
   match slot t a b with
-  | -1 -> true
+  | -1 -> invalid_arg "Routing.link_enabled: not adjacent"
   | i -> Bytes.get t.down t.eid.(i) = '\000'
 
 (* Both directions are incremental and bounded to the materialized
@@ -314,7 +372,9 @@ let link_enabled t ~a ~b =
    next.(d) is a tree rooted at [d], so the edge (a,b) is in use iff one
    endpoint forwards through the other. An unused equal-cost edge was
    already rejected by the deterministic tie-break, so removing it cannot
-   change any table. Restoring a link runs [restore_edge_dst] per
+   change any table; a used one is cut below the endpoint that
+   forwarded across it, and [repair_dst] re-settles only the subtree
+   hanging there. Restoring a link runs [restore_edge_dst] per
    materialized destination: the restored edge is spliced in where it
    improves a reachable node and the improvement relaxed outward, or the
    destination is skipped entirely — either way the tables are exactly
@@ -341,10 +401,13 @@ let set_link_enabled t ~a ~b enabled =
   else if Bytes.get t.down e = '\000' then begin
     Bytes.set t.down e '\001';
     for d = t.node_count - 1 downto 0 do
-      if is_materialized t d && (t.next.(d).(a) = b || t.next.(d).(b) = a)
-      then begin
-        recompute_dst t d;
-        affected := d :: !affected
+      if is_materialized t d then begin
+        let next = t.next.(d) in
+        let c = if next.(a) = b then a else if next.(b) = a then b else -1 in
+        if c >= 0 then begin
+          repair_dst t ~d c;
+          affected := d :: !affected
+        end
       end
     done
   end;

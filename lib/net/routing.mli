@@ -19,8 +19,11 @@
     Links can be administratively disabled (the fault-injection layer's
     link failures) and re-enabled. Recomputation is incremental in both
     directions and confined to materialized columns: taking a link down
-    rebuilds only the destinations whose shortest-path tree crossed it;
-    restoring one splices the edge back in per destination — seeding
+    touches only the destinations whose shortest-path tree crossed it,
+    and in each re-settles only the subtree that hung below the failed
+    link — blanking it, seeding it from its live neighbors outside the
+    subtree and settling it with the same kernel; restoring one splices
+    the edge back in per destination — seeding
     from whichever endpoint it improves and relaxing outward, or
     skipping the destination entirely — yielding exactly the tables a
     fresh computation would produce, preserved tie-breaks included (see
@@ -33,9 +36,10 @@
     ascending neighbor order; a disabled link is one flag byte; each [t]
     owns a scratch binary heap of int arrays, reused across calls and
     never shared, so independent instances are safe on separate
-    domains. A link-down recompute refills the destination's existing
-    columns in place, so only a first materialization allocates (its two
-    columns). *)
+    domains. A link-down repair rewrites the destination's existing
+    columns in place, collecting the subtree into one more per-[t]
+    scratch array allocated on the first link-down; beyond that, only a
+    first materialization allocates (its two columns). *)
 
 type t
 
@@ -57,12 +61,13 @@ val materialized_columns : t -> int
     scale scenarios assert it stays O(control-plane endpoints). *)
 
 val heap_pushes : t -> int
-(** Total scratch-heap pushes performed by full-column Dijkstras since
-    creation (materializations and link-down in-place refills); link-up
-    splices are not counted. A push happens only when a node's distance
-    strictly falls, and the heap pops in [(dist, id)] order, so the
-    count is a function of the topology and the call sequence alone.
-    Tests pin it exactly, including that equality-only tie-break
+(** Total scratch-heap pushes since creation by materializations (one
+    full Dijkstra per column) and link-down repairs (one push per seeded
+    orphan, then the settling of the orphaned subtree); link-up splices
+    are not counted. A push happens only when a node's distance is
+    seeded or strictly falls, and the heap pops in [(dist, id)] order,
+    so the count is a function of the topology and the call sequence
+    alone. Tests pin it exactly, including that equality-only tie-break
     rewrites do not re-push. *)
 
 val next_hop : t -> from:Addr.node_id -> dst:Addr.node_id -> Addr.node_id
@@ -98,11 +103,14 @@ val set_link_enabled :
     @raise Invalid_argument if the nodes are not adjacent. *)
 
 val link_enabled : t -> a:Addr.node_id -> b:Addr.node_id -> bool
+(** Whether the link between [a] and [b] is currently enabled.
+    @raise Invalid_argument if the nodes are not adjacent, as
+    {!set_link_enabled} does. *)
 
 val recomputes : t -> int
 (** Destination tables updated by {!set_link_enabled} since creation: one
-    per full per-destination Dijkstra on a link-down, one per destination
-    spliced by the bounded link-up update. Destinations skipped because
+    per destination repaired on a link-down, one per destination spliced
+    by the bounded link-up update. Destinations skipped because
     the change could not affect them — including columns that were never
     materialized — are not counted, so under churn this grows with the
     damage done, not with [events x node_count] (materializations are

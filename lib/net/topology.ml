@@ -34,6 +34,7 @@ let add_duplex t ~a ~b ~bandwidth_bps ?(delay = default_delay)
     invalid_arg "Topology.add_duplex: unknown node";
   if a = b then invalid_arg "Topology.add_duplex: self-loop";
   if bandwidth_bps <= 0.0 then invalid_arg "Topology.add_duplex: bandwidth <= 0";
+  if delay <= 0 then invalid_arg "Topology.add_duplex: delay <= 0";
   if Hashtbl.mem t.pairs (min a b, max a b) then
     invalid_arg "Topology.add_duplex: duplicate link";
   Hashtbl.add t.pairs (min a b, max a b) ();

@@ -37,8 +37,11 @@ val add_duplex :
 (** Adds a duplex link (two simplex links of identical parameters).
     [queue_limit] selects a drop-tail queue of that many packets (the
     default); [discipline] overrides it with any {!Queue_discipline.spec}.
-    @raise Invalid_argument on unknown nodes, self-loops, duplicates or an
-    invalid discipline. *)
+    [delay] must be positive: routing breaks distance ties by node id,
+    and a zero-delay link would let two nodes each pick the other as
+    next hop (a negative one breaks Dijkstra outright).
+    @raise Invalid_argument on unknown nodes, self-loops, duplicates, a
+    non-positive bandwidth or delay, or an invalid discipline. *)
 
 val node_count : t -> int
 val links : t -> link_spec list

@@ -59,6 +59,25 @@ let test_topology_self_loop_rejected () =
        false
      with Invalid_argument _ -> true)
 
+(* A zero-delay link lets the (dist, id) tie-break loop two nodes' next
+   hops at each other, and a negative one breaks Dijkstra: both are
+   refused at construction, and the topology is left unchanged. *)
+let test_topology_nonpositive_delay_rejected () =
+  List.iter
+    (fun delay ->
+      let topo = line 2 in
+      ignore (Topology.add_node topo);
+      check
+        (Alcotest.option Alcotest.string)
+        (Printf.sprintf "delay %d ns raises" delay)
+        (Some "Topology.add_duplex: delay <= 0")
+        (try
+           Topology.add_duplex topo ~a:1 ~b:2 ~bandwidth_bps:1e6 ~delay ();
+           None
+         with Invalid_argument msg -> Some msg);
+      checki "no link added" 1 (List.length (Topology.links topo)))
+    [ Time.span_of_ms 0; -Time.span_of_ms 1 ]
+
 let test_topology_neighbors () =
   let topo = line 3 in
   check (Alcotest.list Alcotest.int) "middle" [ 0; 2 ]
@@ -105,6 +124,26 @@ let test_routing_disconnected_rejected () =
        ignore (Routing.compute topo);
        false
      with Invalid_argument _ -> true)
+
+(* [link_enabled] refuses a pair that shares no link, exactly as
+   [set_link_enabled] does, instead of reporting it as up. *)
+let test_routing_link_enabled_not_adjacent () =
+  let r = Routing.compute (line 3) in
+  let raises f =
+    try
+      ignore (f () : bool);
+      false
+    with Invalid_argument _ -> true
+  in
+  checkb "adjacent pair is up" true (Routing.link_enabled r ~a:0 ~b:1);
+  checkb "link_enabled raises on a non-adjacent pair" true
+    (raises (fun () -> Routing.link_enabled r ~a:0 ~b:2));
+  checkb "so does set_link_enabled" true
+    (raises (fun () -> Routing.set_link_enabled r ~a:0 ~b:2 false <> []));
+  checkb "link_enabled raises on an unknown node" true
+    (raises (fun () -> Routing.link_enabled r ~a:0 ~b:7));
+  ignore (Routing.set_link_enabled r ~a:1 ~b:2 false);
+  checkb "downed link reads down" false (Routing.link_enabled r ~a:2 ~b:1)
 
 let prop_routing_paths_valid =
   (* On a random connected graph, every routed path starts and ends right,
@@ -494,6 +533,8 @@ let () =
           Alcotest.test_case "duplicate link" `Quick
             test_topology_duplicate_rejected;
           Alcotest.test_case "self loop" `Quick test_topology_self_loop_rejected;
+          Alcotest.test_case "non-positive delay" `Quick
+            test_topology_nonpositive_delay_rejected;
           Alcotest.test_case "neighbors" `Quick test_topology_neighbors;
           Alcotest.test_case "connectivity" `Quick test_topology_connectivity;
         ] );
@@ -503,6 +544,8 @@ let () =
           Alcotest.test_case "shortcut" `Quick test_routing_shortcut;
           Alcotest.test_case "disconnected" `Quick
             test_routing_disconnected_rejected;
+          Alcotest.test_case "link_enabled on a non-adjacent pair" `Quick
+            test_routing_link_enabled_not_adjacent;
         ] );
       qsuite "routing-props"
         [ prop_routing_paths_valid; prop_routing_distance_symmetric ];
